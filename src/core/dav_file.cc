@@ -1,11 +1,9 @@
 #include "core/dav_file.h"
 
 #include <algorithm>
-#include <atomic>
-#include <unordered_map>
+#include <optional>
 
 #include "common/base64.h"
-#include "common/clock.h"
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "core/block_cache.h"
@@ -13,66 +11,11 @@
 #include "common/thread_pool.h"
 #include "core/metalink_engine.h"
 #include "core/replica_set.h"
-#include "core/resilience.h"
 #include "core/vector_io.h"
-#include "http/multipart.h"
 #include "http/parser.h"
 
 namespace davix {
 namespace core {
-
-/// Shared state of one parallel vectored dispatch: every batch worker
-/// reports errors here, and the first batch to receive a 200 (server
-/// ignored the Range header) parks the full entity for its siblings.
-///
-/// Thread-safe: yes — `mu` guards the error slot, `full_body` is
-/// published once via the release/acquire pair on `have_full_body`, and
-/// the remaining members are immutable for the dispatch's duration.
-struct VecDispatchState {
-  Mutex mu;
-  Status first_error GUARDED_BY(mu) = Status::OK();
-  std::atomic<bool> failed{false};
-  /// Written once under `mu`, then read-only; readers gate on the
-  /// acquire-load of `have_full_body` (a release/acquire publication,
-  /// so the post-publication reads are deliberately lock-free and the
-  /// member stays unannotated).
-  std::string full_body;
-  std::atomic<bool> have_full_body{false};
-  /// Block-cache fill target (null = caching off for this dispatch).
-  /// Batch workers insert every fetched wire span, keyed by the
-  /// dispatch's canonical primary URL, with the validators each
-  /// response carried.
-  BlockCache* cache = nullptr;
-  const std::string* cache_key = nullptr;
-  /// Resolved replica set of the dispatch (null = single-source). Every
-  /// response's validators are admitted against the set's agreed
-  /// generation before scatter/cache-fill; spans are published under
-  /// the agreed validator so fail-over and striping share one cache
-  /// generation.
-  ReplicaSet* replica_set = nullptr;
-};
-
-namespace {
-
-/// Satisfies every wire range of `batch` from a full-entity body (the
-/// 200-fallback: once the server has sent everything, all remaining
-/// batches demote to local scatter — single-stream, no wire traffic).
-Status ScatterFromFullBody(const std::vector<CoalescedRange>& batch,
-                           std::string_view full_body,
-                           const std::vector<http::ByteRange>& ranges,
-                           std::vector<std::string>* results) {
-  for (const CoalescedRange& wire : batch) {
-    if (wire.range.offset + wire.range.length > full_body.size()) {
-      return Status::ProtocolError("entity shorter than wire range");
-    }
-    DAVIX_RETURN_IF_ERROR(ScatterWireRange(
-        wire, full_body.substr(wire.range.offset, wire.range.length), ranges,
-        results));
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 DavFile::DavFile(Context* context, Uri url)
     : context_(context), client_(context), url_(std::move(url)) {}
@@ -88,66 +31,51 @@ Result<T> DavFile::WithFailover(
     const std::function<Result<T>(const Uri&, const RequestParams&)>& op) {
   RequestParams params = caller_params;
   params.ArmDeadline();
-  if (replica_set_ != nullptr &&
-      params.metalink_mode != MetalinkMode::kDisabled) {
-    // Resolved-set fast path: walk the health-ranked sources directly —
-    // no Metalink refetch on failure — and feed every outcome back into
-    // the health state, so repeatedly failing sources sink in rank and
-    // quarantine out of the rotation.
-    Status last =
-        Status::AllReplicasFailed("replica set has no usable source");
-    bool first = true;
-    for (const std::shared_ptr<ReplicaSource>& source :
-         replica_set_->RankedSources()) {
-      if (!first) {
-        context_->stats().replica_failovers.fetch_add(
-            1, std::memory_order_relaxed);
-        DAVIX_LOG(kDebug) << "failing over to replica "
-                          << source->url().ToString();
-      }
-      first = false;
-      int64_t start = MonotonicMicros();
-      Result<T> attempt = op(source->url(), params);
-      if (attempt.ok()) {
-        replica_set_->RecordSuccess(source, MonotonicMicros() - start);
-        return attempt;
-      }
-      replica_set_->RecordFailure(source);
-      if (!ShouldFailover(attempt.status())) return attempt;
-      last = attempt.status();
+  if (params.metalink_mode == MetalinkMode::kDisabled) return op(url_, params);
+  std::shared_ptr<ReplicaSet> set = replica_set_;
+  if (set == nullptr) {
+    // No resolved set: a healthy primary costs one request and no
+    // Metalink. Only when it fails is the resource's set resolved, for
+    // this walk only (nothing is pinned to the file).
+    Result<T> primary = op(url_, params);
+    if (primary.ok() || !ShouldFailover(primary.status())) return primary;
+    Result<std::shared_ptr<ReplicaSet>> resolved =
+        ReplicaSet::Resolve(context_, url_, params);
+    if (!resolved.ok()) {
+      DAVIX_LOG(kDebug) << "no metalink for " << url_.ToString() << ": "
+                        << resolved.status().ToString();
+      return primary;  // keep the original, more informative error
     }
-    return Status::AllReplicasFailed("all replicas of " + url_.ToString() +
-                                     " failed; last error: " +
-                                     last.ToString());
-  }
-
-  Result<T> primary = op(url_, params);
-  if (primary.ok() || params.metalink_mode == MetalinkMode::kDisabled ||
-      !ShouldFailover(primary.status())) {
-    return primary;
-  }
-
-  // The primary is unavailable: look up the resource's replicas and walk
-  // them in priority order.
-  MetalinkEngine engine(&client_);
-  Result<std::vector<Uri>> replicas = engine.ResolveReplicas(url_, params);
-  if (!replicas.ok()) {
-    DAVIX_LOG(kDebug) << "no metalink for " << url_.ToString() << ": "
-                      << replicas.status().ToString();
-    return primary;  // keep the original, more informative error
-  }
-  Status last = primary.status();
-  for (const Uri& replica : *replicas) {
-    if (replica == url_) continue;  // already failed
+    set = std::move(*resolved);
+    if (set->source_count() < 2) return primary;  // no other replica
+    // The primary's failure ranks it behind every other source, so it is
+    // not retried before they all had their turn; leaving it counts as
+    // the walk's first failover.
+    set->RecordFailure(set->FindSource(url_));
     context_->stats().replica_failovers.fetch_add(1,
                                                   std::memory_order_relaxed);
-    DAVIX_LOG(kDebug) << "failing over to replica " << replica.ToString();
-    Result<T> attempt = op(replica, params);
-    if (attempt.ok()) return attempt;
-    last = attempt.status();
+  }
+
+  std::optional<T> value;
+  Status status = set->TryCandidates(
+      0, 1,
+      [&](const std::shared_ptr<ReplicaSource>& source,
+          bool* did_fetch) -> Status {
+        *did_fetch = true;
+        Result<T> attempt = op(source->url(), params);
+        if (!attempt.ok()) return attempt.status();
+        value = std::move(*attempt);
+        return Status::OK();
+      });
+  if (status.ok()) return std::move(*value);
+  // A terminal error stops the walk and surfaces as is; a walk that ran
+  // out of sources reports the last one's error.
+  if (!ShouldFailover(status) && status.code() != StatusCode::kCorruption) {
+    return status;
   }
   return Status::AllReplicasFailed("all replicas of " + url_.ToString() +
-                                   " failed; last error: " + last.ToString());
+                                   " failed; last error: " +
+                                   status.ToString());
 }
 
 Result<std::string> DavFile::Get(const RequestParams& params) {
@@ -480,14 +408,31 @@ Result<std::vector<std::string>> DavFile::ReadPartialVecAt(
   state.replica_set = set;
   ParallelForCancellable(
       dispatcher, batches.size(), parallelism, [&](size_t batch_index) {
+        const std::vector<CoalescedRange>& batch = batches[batch_index];
+        auto fetch = [&](const Uri& source, bool* did_fetch) {
+          Status attempt = FetchVecBatch(&client_, source, batch, params,
+                                         wire_view, &state, scatter_slots,
+                                         did_fetch);
+          if (*did_fetch) {
+            context_->stats().vector_queries.fetch_add(
+                1, std::memory_order_relaxed);
+            context_->stats().ranges_requested.fetch_add(
+                batch.size(), std::memory_order_relaxed);
+          }
+          return attempt;
+        };
+        // With a resolved set, batches stripe across its sources and a
+        // failing batch is re-dispatched to the next-best one.
+        bool did_fetch = false;
         Status status =
             set != nullptr
-                ? FetchVecBatchMultiSource(batch_index, parallelism,
-                                           batches[batch_index], params,
-                                           wire_view, &state, scatter_slots)
-                : FetchVecBatch(replica, batches[batch_index], params,
-                                wire_view, &state, scatter_slots,
-                                /*did_fetch=*/nullptr);
+                ? set->TryCandidates(
+                      batch_index, parallelism,
+                      [&](const std::shared_ptr<ReplicaSource>& source,
+                          bool* fetched) {
+                        return fetch(source->url(), fetched);
+                      })
+                : fetch(replica, &did_fetch);
         if (!status.ok()) {
           MutexLock lock(state.mu);
           if (state.first_error.ok()) state.first_error = std::move(status);
@@ -524,202 +469,6 @@ Result<std::vector<std::string>> DavFile::ReadPartialVecAt(
     }
   }
   return results;
-}
-
-Status DavFile::FetchVecBatchMultiSource(
-    size_t batch_index, size_t stripe_width,
-    const std::vector<CoalescedRange>& batch, const RequestParams& params,
-    const std::vector<http::ByteRange>& ranges, VecDispatchState* state,
-    std::vector<std::string>* results) {
-  // TryCandidates owns the failover/health policy; FetchVecBatch flags
-  // `did_fetch` so short-circuited batches (sibling failed, or demoted
-  // to local scatter off a parked full body) feed no bogus ~0 µs
-  // latency into the EWMA of a source that did no work.
-  return state->replica_set->TryCandidates(
-      batch_index, stripe_width,
-      [&](const std::shared_ptr<ReplicaSource>& source, bool* did_fetch) {
-        return FetchVecBatch(source->url(), batch, params, ranges, state,
-                             results, did_fetch);
-      });
-}
-
-Status DavFile::FetchVecBatch(const Uri& replica,
-                              const std::vector<CoalescedRange>& batch,
-                              const RequestParams& params,
-                              const std::vector<http::ByteRange>& ranges,
-                              VecDispatchState* state,
-                              std::vector<std::string>* results,
-                              bool* did_fetch) {
-  // A sibling batch already failed between this batch being claimed and
-  // starting: don't put more traffic on the wire.
-  if (state->failed.load(std::memory_order_acquire)) return Status::OK();
-
-  // A sibling batch already received the whole entity: demote to local
-  // scatter, zero wire traffic.
-  if (state->have_full_body.load(std::memory_order_acquire)) {
-    return ScatterFromFullBody(batch, state->full_body, ranges, results);
-  }
-
-  std::vector<http::ByteRange> wire_ranges;
-  wire_ranges.reserve(batch.size());
-  for (const CoalescedRange& wire : batch) wire_ranges.push_back(wire.range);
-
-  http::HeaderMap headers;
-  headers.Set("Range", http::FormatRangeHeader(wire_ranges));
-  context_->stats().vector_queries.fetch_add(1, std::memory_order_relaxed);
-  context_->stats().ranges_requested.fetch_add(wire_ranges.size(),
-                                               std::memory_order_relaxed);
-
-  // Stall watchdog: budget this batch by its wire bytes at the minimum
-  // acceptable rate, so one trickling server aborts the batch (counted
-  // as a stall_abort) and the dispatcher fails it over instead of
-  // wedging the whole vectored read.
-  uint64_t wire_bytes = 0;
-  for (const CoalescedRange& wire : batch) wire_bytes += wire.range.length;
-  const int64_t stall_budget =
-      StallBudgetMicros(wire_bytes, params.min_throughput_bytes_per_sec);
-  RequestParams attempt_params = params;
-  if (stall_budget > 0) {
-    attempt_params.deadline = params.deadline.Tightened(stall_budget);
-  }
-
-  if (did_fetch != nullptr) *did_fetch = true;
-  Result<HttpClient::Exchange> attempt = client_.Execute(
-      replica, http::Method::kGet, attempt_params, std::string(), &headers);
-  if (!attempt.ok()) {
-    if (stall_budget > 0 &&
-        attempt.status().code() == StatusCode::kTimeout &&
-        !params.deadline.Expired()) {
-      context_->stats().stall_aborts.fetch_add(1, std::memory_order_relaxed);
-    }
-    return attempt.status();
-  }
-  HttpClient::Exchange exchange = std::move(*attempt);
-  http::HttpResponse& response = exchange.response;
-
-  // Generation admission, before any byte is scattered or cached: with
-  // a replica set, a response whose validators disagree with the set's
-  // agreed generation is dropped wholesale (the source is quarantined
-  // by the admission) and the batch is re-dispatched to the next-best
-  // source. Admitted responses publish under the agreed validator, so
-  // fills from different replicas never purge each other.
-  BlockValidator response_validator = ValidatorFrom(response.headers);
-  if (state->replica_set != nullptr &&
-      (response.status_code == 200 || response.status_code == 206)) {
-    std::optional<BlockValidator> admitted =
-        state->replica_set->AdmitUrl(replica, response_validator);
-    if (!admitted) {
-      context_->stats().replica_validator_rejects.fetch_add(
-          1, std::memory_order_relaxed);
-      return Status::Corruption("replica generation mismatch: " +
-                                replica.ToString());
-    }
-    response_validator = *admitted;
-  }
-
-  if (response.status_code == 200) {
-    // Server ignored the Range header: it sent the whole entity. Move
-    // the body into the shared state (no copy) so every remaining batch
-    // is satisfied locally.
-    bool stored = false;
-    {
-      MutexLock lock(state->mu);
-      if (!state->have_full_body.load(std::memory_order_relaxed)) {
-        state->full_body = std::move(response.body);
-        state->have_full_body.store(true, std::memory_order_release);
-        stored = true;
-      }
-    }
-    if (stored && state->cache != nullptr) {
-      // The whole object is in hand: cache every block of it, final
-      // short block included.
-      state->cache->Insert(*state->cache_key, response_validator, 0,
-                           state->full_body, state->full_body.size());
-    }
-    return ScatterFromFullBody(batch, state->full_body, ranges, results);
-  }
-  if (response.status_code != 206) {
-    return HttpStatusToStatus(response.status_code,
-                              "vectored GET " + replica.ToString());
-  }
-
-  std::string content_type = response.headers.Get("Content-Type").value_or("");
-  if (content_type.find("multipart/byteranges") != std::string::npos) {
-    DAVIX_ASSIGN_OR_RETURN(std::string boundary,
-                           http::ExtractBoundary(content_type));
-    DAVIX_ASSIGN_OR_RETURN(std::vector<http::BytesPartView> parts,
-                           http::ParseMultipartViews(response.body, boundary));
-    // Match parts to wire ranges via a single-pass offset-keyed lookup
-    // (wire ranges are pairwise disjoint, so offsets are unique). The
-    // parts are views into the response body: payload bytes are copied
-    // exactly once, straight into the user slots.
-    std::unordered_map<uint64_t, const http::BytesPartView*> parts_by_offset;
-    parts_by_offset.reserve(parts.size());
-    for (const http::BytesPartView& part : parts) {
-      parts_by_offset.emplace(part.range.offset, &part);
-    }
-    for (const CoalescedRange& wire : batch) {
-      auto it = parts_by_offset.find(wire.range.offset);
-      const http::BytesPartView* match =
-          it != parts_by_offset.end() && it->second->range == wire.range
-              ? it->second
-              : nullptr;
-      if (match == nullptr) {
-        // Tolerate servers that send duplicate-offset or extra parts:
-        // fall back to an exact scan before declaring the range missing.
-        for (const http::BytesPartView& part : parts) {
-          if (part.range == wire.range) {
-            match = &part;
-            break;
-          }
-        }
-      }
-      if (match == nullptr) {
-        return Status::ProtocolError("multipart response missing range " +
-                                     http::FormatRangeHeader({wire.range}));
-      }
-      DAVIX_RETURN_IF_ERROR(
-          ScatterWireRange(wire, match->data, ranges, results));
-      if (state->cache != nullptr) {
-        // Wire ranges include coalesced gap bytes, so whole blocks the
-        // user never asked for still become cache lines.
-        state->cache->Insert(*state->cache_key, response_validator,
-                             match->range.offset, match->data,
-                             match->total_size);
-      }
-    }
-    return Status::OK();
-  }
-
-  // 206 with a single Content-Range: either we asked for one range, or
-  // the server merged our ranges into one span.
-  std::optional<std::string> content_range =
-      response.headers.Get("Content-Range");
-  if (!content_range) {
-    return Status::ProtocolError("206 without Content-Range");
-  }
-  DAVIX_ASSIGN_OR_RETURN(http::ContentRange cr,
-                         http::ParseContentRange(*content_range));
-  if (response.body.size() != cr.range.length) {
-    return Status::ProtocolError("206 body size != Content-Range length");
-  }
-  if (state->cache != nullptr) {
-    state->cache->Insert(*state->cache_key, response_validator,
-                         cr.range.offset, response.body, cr.total_size);
-  }
-  for (const CoalescedRange& wire : batch) {
-    if (wire.range.offset < cr.range.offset ||
-        wire.range.offset + wire.range.length >
-            cr.range.offset + cr.range.length) {
-      return Status::ProtocolError("206 span does not cover requested range");
-    }
-    DAVIX_RETURN_IF_ERROR(ScatterWireRange(
-        wire,
-        std::string_view(response.body)
-            .substr(wire.range.offset - cr.range.offset, wire.range.length),
-        ranges, results));
-  }
-  return Status::OK();
 }
 
 }  // namespace core

@@ -17,10 +17,7 @@
 namespace davix {
 namespace core {
 
-struct CoalescedRange;
-struct VecDispatchState;
 class ReplicaSet;
-class ReplicaSource;
 
 /// Remote file metadata as observable over HTTP/WebDAV.
 struct FileInfo {
@@ -128,11 +125,15 @@ class DavFile {
   std::shared_ptr<ReplicaSet> replica_set() const { return replica_set_; }
 
  private:
-  /// Runs `op` against the primary URL, then against metalink replicas
-  /// on failure (when enabled). Counts failovers in the context stats.
-  /// Arms the end-to-end deadline once and hands the armed params to
-  /// every `op` invocation, so one total_timeout_micros budget spans the
-  /// whole fail-over walk rather than restarting per replica.
+  /// Runs `op` as one ReplicaSet::TryCandidates walk: over the pinned
+  /// replica set when there is one; otherwise against the primary URL
+  /// first and, only when that fails (and metalink is enabled), over a
+  /// set resolved from the Metalink for this walk, the failed primary
+  /// ranked last. A walk that runs out of sources returns
+  /// kAllReplicasFailed; a missing Metalink returns the primary's own
+  /// error. Arms the end-to-end deadline once and hands the armed params
+  /// to every `op` invocation, so one total_timeout_micros budget spans
+  /// the whole fail-over walk rather than restarting per replica.
   template <typename T>
   Result<T> WithFailover(
       const RequestParams& params,
@@ -146,34 +147,6 @@ class DavFile {
   /// the observed validators to the cache, dropping stale blocks.
   Status RevalidateCached(const Uri& replica, const RequestParams& params,
                           BlockCache* cache, const std::string& cache_key);
-
-  /// Fetches one coalesced batch and scatters its payload into the
-  /// preallocated `results` slots. Runs concurrently with its sibling
-  /// batches; `state` carries the shared 200-fallback body and error
-  /// flag. With a replica set in `state`, the response's validators
-  /// must be admitted against the set's agreed generation before any
-  /// byte is scattered or cached — a mismatch returns kCorruption.
-  /// `*did_fetch` (may be null) is set when the batch actually put a
-  /// request on the wire — false on the failed-short-circuit and
-  /// full-body-demote paths, so health feedback only covers real
-  /// exchanges.
-  Status FetchVecBatch(const Uri& replica,
-                       const std::vector<CoalescedRange>& batch,
-                       const RequestParams& params,
-                       const std::vector<http::ByteRange>& ranges,
-                       VecDispatchState* state,
-                       std::vector<std::string>* results, bool* did_fetch);
-
-  /// Replica-set variant of one batch dispatch: walks the
-  /// stripe-rotated, health-ranked candidates for `batch_index`, feeding each
-  /// outcome back into the set, so a batch that fails on one source is
-  /// re-dispatched to the next-best instead of failing the read.
-  Status FetchVecBatchMultiSource(size_t batch_index, size_t stripe_width,
-                                  const std::vector<CoalescedRange>& batch,
-                                  const RequestParams& params,
-                                  const std::vector<http::ByteRange>& ranges,
-                                  VecDispatchState* state,
-                                  std::vector<std::string>* results);
 
   Context* context_;
   HttpClient client_;

@@ -20,17 +20,6 @@ bool IsIdempotent(http::Method method) {
 // does not override retry_after_max_micros.
 constexpr int64_t kDefaultRetryAfterMaxMicros = 30'000'000;
 
-BackoffConfig BackoffConfigFrom(const RequestParams& params) {
-  BackoffConfig config;
-  config.base_delay_micros = params.retry_delay_micros;
-  if (params.retry_backoff_max_micros > 0) {
-    config.max_delay_micros = params.retry_backoff_max_micros;
-  }
-  if (config.max_delay_micros < config.base_delay_micros) {
-    config.max_delay_micros = config.base_delay_micros;
-  }
-  return config;
-}
 
 // A fixed retry_jitter_seed reproduces the exact delay sequence; the
 // default decorrelates concurrent requests (the point of full jitter)
@@ -118,7 +107,8 @@ Result<HttpClient::Exchange> HttpClient::Execute(
     std::string body, const http::HeaderMap* extra_headers) {
   RequestParams params = caller_params;
   params.ArmDeadline();
-  Backoff backoff(BackoffConfigFrom(params), ResolveJitterSeed(params));
+  Backoff backoff(BackoffConfig{params.retry_delay_micros},
+                  ResolveJitterSeed(params));
   Uri current = url;
   int redirects = 0;
   int retries_used = 0;

@@ -1,7 +1,6 @@
 #include "core/metalink_engine.h"
 
 #include "common/checksum.h"
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "core/replica_set.h"
 
@@ -40,26 +39,6 @@ Result<metalink::MetalinkFile> MetalinkEngine::Fetch(
                                        resource.ToString());
   }
   return parsed;
-}
-
-Result<std::vector<Uri>> MetalinkEngine::ResolveReplicas(
-    const Uri& resource, const RequestParams& params) {
-  DAVIX_ASSIGN_OR_RETURN(metalink::MetalinkFile file,
-                         Fetch(resource, params));
-  std::vector<Uri> replicas;
-  for (const metalink::Replica& replica : file.SortedReplicas()) {
-    Result<Uri> uri = Uri::Parse(replica.url);
-    if (uri.ok()) {
-      replicas.push_back(std::move(*uri));
-    } else {
-      DAVIX_LOG(kWarn) << "skipping unparseable replica URL " << replica.url;
-    }
-  }
-  if (replicas.empty()) {
-    return Status::AllReplicasFailed("metalink for " + resource.ToString() +
-                                     " lists no usable replicas");
-  }
-  return replicas;
 }
 
 Status MetalinkEngine::MultiStreamTo(const Uri& resource,

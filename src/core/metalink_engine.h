@@ -2,7 +2,6 @@
 #define DAVIX_CORE_METALINK_ENGINE_H_
 
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "common/uri.h"
@@ -28,10 +27,6 @@ class MetalinkEngine {
   /// asked with `?metalink` plus an Accept header, davix's convention.
   Result<metalink::MetalinkFile> Fetch(const Uri& resource,
                                        const RequestParams& params);
-
-  /// Resolves the replica URLs of `resource`, ordered by priority.
-  Result<std::vector<Uri>> ResolveReplicas(const Uri& resource,
-                                           const RequestParams& params);
 
   /// §2.4 "multi-stream" strategy, sink-based: resolves the resource's
   /// ReplicaSet and streams the whole object through `sink` in offset

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "common/clock.h"
@@ -11,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "core/metalink_engine.h"
 #include "core/resilience.h"
+#include "http/multipart.h"
 #include "http/parser.h"
 #include "http/range.h"
 
@@ -26,8 +28,28 @@ constexpr double kLatencyEwmaAlpha = 0.3;
 
 constexpr uint64_t kDefaultChunkBytes = 1 << 20;
 constexpr size_t kDefaultMaxStreams = 4;
-constexpr int kDefaultQuarantineFailures = 2;
-constexpr int64_t kDefaultQuarantineMicros = 30'000'000;
+/// Consecutive failures that put a source into a timed quarantine, and
+/// how long that quarantine lasts.
+constexpr int kQuarantineFailures = 2;
+constexpr int64_t kQuarantineMicros = 30'000'000;
+
+/// Satisfies every wire range of `batch` from a full-entity body (the
+/// 200-fallback: once the server has sent everything, all remaining
+/// batches demote to local scatter — single-stream, no wire traffic).
+Status ScatterFromFullBody(const std::vector<CoalescedRange>& batch,
+                           std::string_view full_body,
+                           const std::vector<http::ByteRange>& ranges,
+                           std::vector<std::string>* results) {
+  for (const CoalescedRange& wire : batch) {
+    if (wire.range.offset + wire.range.length > full_body.size()) {
+      return Status::ProtocolError("entity shorter than wire range");
+    }
+    DAVIX_RETURN_IF_ERROR(ScatterWireRange(
+        wire, full_body.substr(wire.range.offset, wire.range.length), ranges,
+        results));
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -133,34 +155,11 @@ ReplicaSet::ReplicaSet(Context* context, Uri primary, ReplicaSetConfig config)
       primary_(std::move(primary)),
       config_(config) {}
 
-ReplicaSetConfig ReplicaSet::ConfigFrom(const RequestParams& params) {
-  ReplicaSetConfig config;
-  config.chunk_bytes = params.multistream_chunk_bytes == 0
-                           ? kDefaultChunkBytes
-                           : params.multistream_chunk_bytes;
-  config.max_streams = params.multistream_max_streams == 0
-                           ? kDefaultMaxStreams
-                           : params.multistream_max_streams;
-  config.quarantine_failures = params.replica_quarantine_failures <= 0
-                                   ? kDefaultQuarantineFailures
-                                   : params.replica_quarantine_failures;
-  config.quarantine_micros = params.replica_quarantine_micros <= 0
-                                 ? kDefaultQuarantineMicros
-                                 : params.replica_quarantine_micros;
-  return config;
-}
-
 Result<std::shared_ptr<ReplicaSet>> ReplicaSet::Make(
     Context* context, const Uri& primary,
     const metalink::MetalinkFile& metalink, ReplicaSetConfig config) {
   if (config.chunk_bytes == 0) config.chunk_bytes = kDefaultChunkBytes;
   if (config.max_streams == 0) config.max_streams = kDefaultMaxStreams;
-  if (config.quarantine_failures <= 0) {
-    config.quarantine_failures = kDefaultQuarantineFailures;
-  }
-  if (config.quarantine_micros <= 0) {
-    config.quarantine_micros = kDefaultQuarantineMicros;
-  }
 
   auto set = std::shared_ptr<ReplicaSet>(
       new ReplicaSet(context, primary, config));
@@ -197,7 +196,9 @@ Result<std::shared_ptr<ReplicaSet>> ReplicaSet::Resolve(
   MetalinkEngine engine(&client);
   DAVIX_ASSIGN_OR_RETURN(metalink::MetalinkFile file,
                          engine.Fetch(resource, params));
-  return Make(context, resource, file, ConfigFrom(params));
+  return Make(context, resource, file,
+              ReplicaSetConfig{params.multistream_chunk_bytes,
+                               params.multistream_max_streams});
 }
 
 uint64_t ReplicaSet::size() const {
@@ -216,10 +217,14 @@ std::shared_ptr<ReplicaSource> ReplicaSet::FindSource(const Uri& url) const {
 std::vector<std::shared_ptr<ReplicaSource>> ReplicaSet::RankedSources()
     const {
   int64_t now = MonotonicMicros();
-  // Healthy before quarantined before breaker-open; probed sources by
-  // latency EWMA; unprobed ones after, by Metalink priority then URL
-  // (deterministic ties). A host whose circuit breaker is open (still
-  // inside its cooldown, every acquire fast-fails) ranks below a
+  // Healthy before quarantined before breaker-open; among healthy
+  // sources, those without a failure streak first, so a source that just
+  // failed is retried only after the others had their turn (a primary
+  // that failed before the set was resolved is the last healthy source
+  // of the walk). Then probed sources by latency EWMA; unprobed ones
+  // after, by Metalink priority then URL (deterministic ties). A host
+  // whose circuit breaker is open (still inside its cooldown, every
+  // acquire fast-fails without wire traffic) ranks below a
   // quarantined-but-probing source: the latter may answer, the former
   // cannot. The key is snapshotted once per source BEFORE sorting:
   // health state mutates concurrently (dispatcher workers record
@@ -227,7 +232,7 @@ std::vector<std::shared_ptr<ReplicaSource>> ReplicaSet::RankedSources()
   // violate strict weak ordering — undefined behaviour in stable_sort.
   const CircuitBreakerRegistry& breakers = context_->pool().breakers();
   struct Decorated {
-    std::tuple<int, int, double, int, std::string> key;
+    std::tuple<int, bool, int, double, int, std::string> key;
     std::shared_ptr<ReplicaSource> source;
   };
   std::vector<Decorated> decorated;
@@ -239,7 +244,8 @@ std::vector<std::shared_ptr<ReplicaSource>> ReplicaSet::RankedSources()
                  : source->Quarantined(now)                             ? 1
                                                                         : 0;
     decorated.push_back(
-        {std::make_tuple(health, ewma == 0 ? 1 : 0, ewma, source->priority(),
+        {std::make_tuple(health, source->consecutive_failures() > 0,
+                         ewma == 0 ? 1 : 0, ewma, source->priority(),
                          source->url().ToString()),
          source});
   }
@@ -285,8 +291,8 @@ void ReplicaSet::RecordSuccess(const std::shared_ptr<ReplicaSource>& source,
 }
 
 void ReplicaSet::RecordFailure(const std::shared_ptr<ReplicaSource>& source) {
-  if (source->RecordFailure(MonotonicMicros(), config_.quarantine_failures,
-                            config_.quarantine_micros)) {
+  if (source->RecordFailure(MonotonicMicros(), kQuarantineFailures,
+                            kQuarantineMicros)) {
     context_->stats().replica_quarantines.fetch_add(
         1, std::memory_order_relaxed);
   }
@@ -411,26 +417,23 @@ Result<HttpClient::Exchange> ReplicaSet::HeadRankedSources(
     const RequestParams& params) {
   RequestParams head_params = params;
   head_params.metalink_mode = MetalinkMode::kDisabled;
-  Status last = Status::AllReplicasFailed("no replica answered HEAD");
-  for (const std::shared_ptr<ReplicaSource>& source : RankedSources()) {
-    int64_t start = MonotonicMicros();
-    Result<HttpClient::Exchange> exchange =
-        client_.Execute(source->url(), http::Method::kHead, head_params);
-    Status status = exchange.ok()
-                        ? HttpStatusToStatus(exchange->response.status_code,
-                                             "HEAD " +
-                                                 source->url().ToString())
-                        : exchange.status();
-    if (!status.ok()) {
-      RecordFailure(source);
-      last = std::move(status);
-      continue;
-    }
-    RecordSuccess(source, MonotonicMicros() - start);
-    SeedValidator(ValidatorFrom(exchange->response.headers));
-    return exchange;
-  }
-  return last;
+  std::optional<HttpClient::Exchange> answer;
+  DAVIX_RETURN_IF_ERROR(TryCandidates(
+      0, 1,
+      [&](const std::shared_ptr<ReplicaSource>& source,
+          bool* did_fetch) -> Status {
+        *did_fetch = true;
+        DAVIX_ASSIGN_OR_RETURN(
+            HttpClient::Exchange exchange,
+            client_.Execute(source->url(), http::Method::kHead, head_params));
+        DAVIX_RETURN_IF_ERROR(
+            HttpStatusToStatus(exchange.response.status_code,
+                               "HEAD " + source->url().ToString()));
+        SeedValidator(ValidatorFrom(exchange.response.headers));
+        answer = std::move(exchange);
+        return Status::OK();
+      }));
+  return std::move(*answer);
 }
 
 void ReplicaSet::EnsureSeeded(const RequestParams& params) {
@@ -487,86 +490,36 @@ Status ReplicaSet::FetchChunk(size_t chunk_index, size_t stripe_width,
   RequestParams chunk_params = params;
   chunk_params.ArmDeadline();
   chunk_params.metalink_mode = MetalinkMode::kDisabled;
-  // The stall watchdog: a per-attempt deadline of "these bytes at the
-  // minimum acceptable rate, plus slack". A replica trickling the body
-  // below that rate is aborted (stall_aborts) and the chunk fails over
-  // mid-read instead of wedging the whole stream behind one slow host.
-  const int64_t stall_budget = StallBudgetMicros(
-      chunk_length, params.min_throughput_bytes_per_sec);
-  http::HeaderMap headers;
-  headers.Set("Range", http::FormatRangeHeader(
-                           {http::ByteRange{chunk_offset, chunk_length}}));
-  uint64_t total = size();
-
+  // A chunk is a one-range batch of the shared ranged GET, which owns
+  // the stall watchdog, generation admission, the response-shape checks
+  // and cache publication.
+  const std::vector<http::ByteRange> ranges = {
+      http::ByteRange{chunk_offset, chunk_length}};
+  const std::vector<CoalescedRange> batch = {CoalescedRange{ranges[0], {0}}};
+  std::vector<std::string> results(1);
   Status status = TryCandidates(
       chunk_index, stripe_width,
-      [&](const std::shared_ptr<ReplicaSource>& source,
-          bool* did_fetch) -> Status {
-        context_->stats().multisource_chunks.fetch_add(
-            1, std::memory_order_relaxed);
-        *did_fetch = true;
-        RequestParams attempt_params = chunk_params;
-        if (stall_budget > 0) {
-          attempt_params.deadline =
-              chunk_params.deadline.Tightened(stall_budget);
-        }
-        Result<HttpClient::Exchange> exchange =
-            client_.Execute(source->url(), http::Method::kGet, attempt_params,
-                            std::string(), &headers);
-        if (!exchange.ok()) {
-          if (stall_budget > 0 &&
-              exchange.status().code() == StatusCode::kTimeout &&
-              !chunk_params.deadline.Expired()) {
-            // The tightened per-attempt budget fired, not the caller's
-            // end-to-end deadline: a stall, and the next replica gets
-            // the chunk.
-            context_->stats().stall_aborts.fetch_add(
-                1, std::memory_order_relaxed);
-          }
-          return exchange.status();
-        }
-        const http::HttpResponse& response = exchange->response;
-        std::string_view span;
-        if (response.status_code == 206 &&
-            response.body.size() == chunk_length) {
-          span = response.body;
-        } else if (response.status_code == 200 && total != 0 &&
-                   response.body.size() == total) {
-          // Replica ignored the Range header; salvage the chunk.
-          span = std::string_view(response.body).substr(chunk_offset,
-                                                        chunk_length);
-        } else {
-          Status shape = HttpStatusToStatus(response.status_code,
-                                            "multi-source chunk GET " +
-                                                source->url().ToString());
-          if (shape.ok()) {
-            shape = Status::ProtocolError(
-                "unexpected partial-content shape from " +
-                source->url().ToString());
-          }
-          return shape;
-        }
-        std::optional<BlockValidator> publish =
-            Admit(source, ValidatorFrom(response.headers));
-        if (!publish) {
-          // Wrong generation: the bytes are dropped — never delivered,
-          // never published into the cache — and another source serves
-          // the chunk.
-          context_->stats().replica_validator_rejects.fetch_add(
+      [&](const std::shared_ptr<ReplicaSource>& source, bool* did_fetch) {
+        // Fresh state per attempt: a full entity parked by a source that
+        // then failed the chunk must not answer for the next source.
+        VecDispatchState state;
+        state.cache = cache;
+        state.cache_key = &cache_key;
+        state.replica_set = this;
+        Status attempt = FetchVecBatch(&client_, source->url(), batch,
+                                       chunk_params, ranges, &state, &results,
+                                       did_fetch);
+        if (*did_fetch) {
+          context_->stats().multisource_chunks.fetch_add(
               1, std::memory_order_relaxed);
-          return Status::Corruption("replica generation mismatch: " +
-                                    source->url().ToString());
         }
-        if (cache != nullptr) {
-          cache->Insert(cache_key, *publish, chunk_offset, span, total);
-        }
-        data->assign(span);
-        return Status::OK();
+        return attempt;
       });
   if (!status.ok()) {
     return status.WithContext("multi-source chunk at offset " +
                               std::to_string(chunk_offset));
   }
+  *data = std::move(results[0]);
   return status;
 }
 
@@ -653,6 +606,195 @@ Status ReplicaSet::Stream(uint64_t offset, uint64_t length,
 
   MutexLock lock(state.mu);
   return state.first_error;
+}
+
+// ---------------------------------------------------------------------------
+// The ranged GET
+// ---------------------------------------------------------------------------
+
+Status FetchVecBatch(HttpClient* client, const Uri& replica,
+                     const std::vector<CoalescedRange>& batch,
+                     const RequestParams& params,
+                     const std::vector<http::ByteRange>& ranges,
+                     VecDispatchState* state,
+                     std::vector<std::string>* results, bool* did_fetch) {
+  // A sibling batch already failed between this batch being claimed and
+  // starting: don't put more traffic on the wire.
+  if (state->failed.load(std::memory_order_acquire)) return Status::OK();
+
+  // A sibling batch already received the whole entity: demote to local
+  // scatter, zero wire traffic.
+  if (state->have_full_body.load(std::memory_order_acquire)) {
+    return ScatterFromFullBody(batch, state->full_body, ranges, results);
+  }
+
+  std::vector<http::ByteRange> wire_ranges;
+  wire_ranges.reserve(batch.size());
+  uint64_t wire_bytes = 0;
+  for (const CoalescedRange& wire : batch) {
+    wire_ranges.push_back(wire.range);
+    wire_bytes += wire.range.length;
+  }
+  http::HeaderMap headers;
+  headers.Set("Range", http::FormatRangeHeader(wire_ranges));
+
+  // Stall watchdog: budget this batch by its wire bytes at the minimum
+  // acceptable rate, so one trickling server aborts the batch (counted
+  // as a stall_abort) and the candidate walk fails it over instead of
+  // wedging the whole read.
+  const int64_t stall_budget =
+      StallBudgetMicros(wire_bytes, params.min_throughput_bytes_per_sec);
+  RequestParams attempt_params = params;
+  if (stall_budget > 0) {
+    attempt_params.deadline = params.deadline.Tightened(stall_budget);
+  }
+
+  ContextStats& stats = client->context()->stats();
+  *did_fetch = true;
+  Result<HttpClient::Exchange> attempt = client->Execute(
+      replica, http::Method::kGet, attempt_params, std::string(), &headers);
+  if (!attempt.ok()) {
+    // The tightened per-attempt budget fired, not the caller's
+    // end-to-end deadline: a stall.
+    if (stall_budget > 0 &&
+        attempt.status().code() == StatusCode::kTimeout &&
+        !params.deadline.Expired()) {
+      stats.stall_aborts.fetch_add(1, std::memory_order_relaxed);
+    }
+    return attempt.status();
+  }
+  http::HttpResponse& response = attempt->response;
+  if (response.status_code != 200 && response.status_code != 206) {
+    Status status = HttpStatusToStatus(response.status_code,
+                                       "ranged GET " + replica.ToString());
+    if (status.ok()) {
+      status = Status::ProtocolError("unexpected ranged-GET status " +
+                                     std::to_string(response.status_code) +
+                                     " from " + replica.ToString());
+    }
+    return status;
+  }
+
+  // Generation admission, before any byte is scattered or cached: with
+  // a replica set, a response whose validators disagree with the set's
+  // agreed generation is dropped wholesale (the source is quarantined
+  // by the admission) and the walk moves on to the next-best source.
+  // Admitted responses publish under the agreed validator, so fills
+  // from different replicas never purge each other.
+  BlockValidator validator = ValidatorFrom(response.headers);
+  if (state->replica_set != nullptr) {
+    std::optional<BlockValidator> admitted =
+        state->replica_set->AdmitUrl(replica, validator);
+    if (!admitted) {
+      stats.replica_validator_rejects.fetch_add(1, std::memory_order_relaxed);
+      return Status::Corruption("replica generation mismatch: " +
+                                replica.ToString());
+    }
+    validator = *admitted;
+  }
+  BlockCache* cache = state->cache;
+
+  if (response.status_code == 200) {
+    // Server ignored the Range header: it sent the whole entity. Move
+    // the body into the shared state (no copy) so every remaining batch
+    // is satisfied locally.
+    bool stored = false;
+    {
+      MutexLock lock(state->mu);
+      if (!state->have_full_body.load(std::memory_order_relaxed)) {
+        state->full_body = std::move(response.body);
+        state->have_full_body.store(true, std::memory_order_release);
+        stored = true;
+      }
+    }
+    if (stored && cache != nullptr) {
+      // The whole object is in hand: cache every block of it, final
+      // short block included.
+      cache->Insert(*state->cache_key, validator, 0, state->full_body,
+                    state->full_body.size());
+    }
+    return ScatterFromFullBody(batch, state->full_body, ranges, results);
+  }
+
+  std::string content_type = response.headers.Get("Content-Type").value_or("");
+  if (content_type.find("multipart/byteranges") != std::string::npos) {
+    DAVIX_ASSIGN_OR_RETURN(std::string boundary,
+                           http::ExtractBoundary(content_type));
+    DAVIX_ASSIGN_OR_RETURN(std::vector<http::BytesPartView> parts,
+                           http::ParseMultipartViews(response.body, boundary));
+    // Match parts to wire ranges via a single-pass offset-keyed lookup
+    // (wire ranges are pairwise disjoint, so offsets are unique). The
+    // parts are views into the response body: payload bytes are copied
+    // exactly once, straight into the user slots.
+    std::unordered_map<uint64_t, const http::BytesPartView*> parts_by_offset;
+    parts_by_offset.reserve(parts.size());
+    for (const http::BytesPartView& part : parts) {
+      parts_by_offset.emplace(part.range.offset, &part);
+    }
+    for (const CoalescedRange& wire : batch) {
+      auto it = parts_by_offset.find(wire.range.offset);
+      const http::BytesPartView* match =
+          it != parts_by_offset.end() && it->second->range == wire.range
+              ? it->second
+              : nullptr;
+      if (match == nullptr) {
+        // Tolerate servers that send duplicate-offset or extra parts:
+        // fall back to an exact scan before declaring the range missing.
+        for (const http::BytesPartView& part : parts) {
+          if (part.range == wire.range) {
+            match = &part;
+            break;
+          }
+        }
+      }
+      if (match == nullptr) {
+        return Status::ProtocolError("multipart response missing range " +
+                                     http::FormatRangeHeader({wire.range}));
+      }
+      DAVIX_RETURN_IF_ERROR(
+          ScatterWireRange(wire, match->data, ranges, results));
+      if (cache != nullptr) {
+        // Wire ranges include coalesced gap bytes, so whole blocks the
+        // user never asked for still become cache lines.
+        cache->Insert(*state->cache_key, validator, match->range.offset,
+                      match->data, match->total_size);
+      }
+    }
+    return Status::OK();
+  }
+
+  // 206 with a single Content-Range: either we asked for one range, or
+  // the server merged our ranges into one span. Its bytes are trusted
+  // only where its Content-Range says they belong, and only when that
+  // span covers every wire range of the batch.
+  std::optional<std::string> content_range =
+      response.headers.Get("Content-Range");
+  if (!content_range) {
+    return Status::ProtocolError("206 without Content-Range");
+  }
+  DAVIX_ASSIGN_OR_RETURN(http::ContentRange cr,
+                         http::ParseContentRange(*content_range));
+  if (response.body.size() != cr.range.length) {
+    return Status::ProtocolError("206 body size != Content-Range length");
+  }
+  for (const CoalescedRange& wire : batch) {
+    if (wire.range.offset < cr.range.offset ||
+        wire.range.offset + wire.range.length >
+            cr.range.offset + cr.range.length) {
+      return Status::ProtocolError("206 span " + *content_range +
+                                   " does not cover requested range");
+    }
+    DAVIX_RETURN_IF_ERROR(ScatterWireRange(
+        wire,
+        std::string_view(response.body)
+            .substr(wire.range.offset - cr.range.offset, wire.range.length),
+        ranges, results));
+  }
+  if (cache != nullptr) {
+    cache->Insert(*state->cache_key, validator, cr.range.offset,
+                  response.body, cr.total_size);
+  }
+  return Status::OK();
 }
 
 }  // namespace core

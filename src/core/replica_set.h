@@ -1,6 +1,7 @@
 #ifndef DAVIX_CORE_REPLICA_SET_H_
 #define DAVIX_CORE_REPLICA_SET_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -14,6 +15,7 @@
 #include "core/block_cache.h"
 #include "core/http_client.h"
 #include "core/request_params.h"
+#include "core/vector_io.h"
 #include "http/header_map.h"
 #include "metalink/metalink.h"
 
@@ -102,18 +104,14 @@ struct ReplicaSourceSnapshot {
   uint64_t failures = 0;
 };
 
-/// Shape of the striped multi-source scheduler; every knob follows the
-/// repository's 0 = auto convention and defaults come from
-/// RequestParams (multistream_* and replica_quarantine_*).
+/// Shape of the striped multi-source scheduler; both knobs follow the
+/// repository's 0 = auto convention (resolved once, in ReplicaSet::Make)
+/// and Resolve takes them from RequestParams::multistream_*.
 struct ReplicaSetConfig {
   /// Bytes per chunk range-GET. 0 = 1 MiB.
   uint64_t chunk_bytes = 0;
   /// Parallel chunk fetches ceiling (stripe width). 0 = 4.
   size_t max_streams = 0;
-  /// Consecutive failures before a timed quarantine. 0 = 2.
-  int quarantine_failures = 0;
-  /// Timed-quarantine duration. 0 = 30 s.
-  int64_t quarantine_micros = 0;
 };
 
 /// Sink of the streaming multi-source read: called serially, in offset
@@ -173,12 +171,9 @@ class ReplicaSet {
 
   /// Fetches the resource's Metalink (via RequestParams::
   /// metalink_resolver or the origin "?metalink" convention) and builds
-  /// the set; config knobs default from `params`.
+  /// the set; config knobs come from `params`.
   static Result<std::shared_ptr<ReplicaSet>> Resolve(
       Context* context, const Uri& resource, const RequestParams& params);
-
-  /// Config with every 0 knob resolved from `params` / hard defaults.
-  static ReplicaSetConfig ConfigFrom(const RequestParams& params);
 
   const Uri& primary() const { return primary_; }
   /// Whole-object md5 from the Metalink; empty when absent.
@@ -199,10 +194,11 @@ class ReplicaSet {
   Status Stream(uint64_t offset, uint64_t length,
                 const RequestParams& params, const ReplicaSpanSink& sink);
 
-  /// Sources ranked for scheduling: healthy before quarantined,
-  /// lower-latency EWMA first (unprobed sources after probed ones, by
-  /// Metalink priority then URL). Generation-rejected sources are
-  /// excluded entirely.
+  /// Sources ranked for scheduling: healthy before quarantined before
+  /// breaker-open; among healthy ones, sources without a failure streak
+  /// first; then lower-latency EWMA first (unprobed sources after probed
+  /// ones, by Metalink priority then URL). Generation-rejected sources
+  /// are excluded entirely.
   std::vector<std::shared_ptr<ReplicaSource>> RankedSources() const;
 
   /// Candidate try-order for stripe slot `index`: RankedSources()
@@ -210,24 +206,28 @@ class ReplicaSet {
   std::vector<std::shared_ptr<ReplicaSource>> CandidatesFor(
       size_t index, size_t stripe_width) const;
 
-  /// The shared §2.4 failover policy: walks the candidates for stripe
-  /// slot `index`, invoking `attempt` on each until one succeeds.
-  /// Owns the bookkeeping — every retry counts a replica_failover,
-  /// successes feed the latency EWMA, failures that reached the wire
-  /// feed the failure streak (a failure before any wire traffic
-  /// returns immediately: nobody to blame, retrying is pointless) —
-  /// and continues past retryable errors and generation mismatches
-  /// (kCorruption: the next source may agree) but stops on terminal
-  /// ones. Returns the last error when every candidate failed. Used by
-  /// the chunk scheduler and DavFile's vectored batch dispatch.
+  /// The §2.4 failover policy and the only walk over replica
+  /// candidates: walks the candidates for stripe slot `index`, invoking
+  /// `attempt` on each until one succeeds. Owns the bookkeeping — every
+  /// retry counts a replica_failover, successes feed the latency EWMA,
+  /// failures that reached the wire feed the failure streak (a failure
+  /// before any wire traffic returns immediately: nobody to blame,
+  /// retrying is pointless) — and continues past retryable errors and
+  /// generation mismatches (kCorruption: the next source may agree) but
+  /// stops on terminal ones. Returns the last error when every candidate
+  /// failed. Used by the chunk scheduler, the size/seed HEAD, and
+  /// DavFile's vectored batch dispatch and per-operation failover.
   Status TryCandidates(size_t index, size_t stripe_width,
                        const CandidateAttemptFn& attempt);
 
-  /// Health feedback from external fetchers (DavFile's vectored batch
-  /// dispatch routes its per-batch outcomes here).
+  /// Health feedback outside a candidate walk (tests, and DavFile
+  /// marking a primary that failed before the set was resolved).
   void RecordSuccess(const std::shared_ptr<ReplicaSource>& source,
                      int64_t latency_micros);
   void RecordFailure(const std::shared_ptr<ReplicaSource>& source);
+
+  /// Looks up a source by canonical URL; null when unknown.
+  std::shared_ptr<ReplicaSource> FindSource(const Uri& url) const;
 
   /// Seeds the agreed generation when none is set yet (DavPosix::Open
   /// feeds the validator its existence Stat observed). Empty
@@ -243,10 +243,10 @@ class ReplicaSet {
       const std::shared_ptr<ReplicaSource>& source,
       const BlockValidator& validator);
 
-  /// Admit() variant for fetchers that track the target by URL (the
-  /// vectored batch dispatch): resolves the source by canonical URL; an
-  /// unknown URL is validated against the agreed generation without
-  /// quarantine side effects.
+  /// Admit() variant for fetchers that track the target by URL
+  /// (FetchVecBatch): resolves the source by canonical URL; an unknown
+  /// URL is validated against the agreed generation without quarantine
+  /// side effects.
   std::optional<BlockValidator> AdmitUrl(const Uri& url,
                                          const BlockValidator& validator);
 
@@ -259,12 +259,9 @@ class ReplicaSet {
  private:
   ReplicaSet(Context* context, Uri primary, ReplicaSetConfig config);
 
-  /// Looks up a source by canonical URL; null when unknown.
-  std::shared_ptr<ReplicaSource> FindSource(const Uri& url) const;
-
-  /// Fetches one chunk: cache probe, then the candidate walk with
-  /// health feedback and generation admission. On success `*data`
-  /// holds exactly `length` bytes.
+  /// Fetches one chunk: cache probe, then a candidate walk of one-range
+  /// FetchVecBatch attempts. On success `*data` holds exactly
+  /// `chunk_length` bytes.
   Status FetchChunk(size_t chunk_index, size_t stripe_width,
                     uint64_t chunk_offset, uint64_t chunk_length,
                     const RequestParams& params, const std::string& cache_key,
@@ -284,10 +281,9 @@ class ReplicaSet {
   bool AdmitCachedGeneration(BlockCache* cache,
                              const std::string& cache_key);
 
-  /// Walks the ranked sources with a HEAD until one answers 2xx,
-  /// feeding every outcome into the health state and seeding the
-  /// agreed validator from the winning response. Shared by
-  /// EnsureSeeded and ResolveSize.
+  /// Walks the ranked sources (TryCandidates) with a HEAD until one
+  /// answers 2xx, seeding the agreed validator from the winning
+  /// response. Shared by EnsureSeeded and ResolveSize.
   Result<HttpClient::Exchange> HeadRankedSources(const RequestParams& params);
 
   /// Ensures the agreed validator is seeded, HEADing ranked sources if
@@ -309,6 +305,63 @@ class ReplicaSet {
   bool agreed_set_ GUARDED_BY(mu_) = false;
   uint64_t size_ GUARDED_BY(mu_) = 0;
 };
+
+/// Shared state of one ranged-GET dispatch (a vectored read's batches,
+/// or one multi-source chunk): every batch worker reports errors here,
+/// and the first batch to receive a 200 (server ignored the Range
+/// header) parks the full entity for its siblings.
+///
+/// Thread-safe: yes — `mu` guards the error slot, `full_body` is
+/// published once via the release/acquire pair on `have_full_body`, and
+/// the remaining members are immutable for the dispatch's duration.
+struct VecDispatchState {
+  Mutex mu;
+  Status first_error GUARDED_BY(mu) = Status::OK();
+  std::atomic<bool> failed{false};
+  /// Written once under `mu`, then read-only; readers gate on the
+  /// acquire-load of `have_full_body` (a release/acquire publication,
+  /// so the post-publication reads are deliberately lock-free and the
+  /// member stays unannotated).
+  std::string full_body;
+  std::atomic<bool> have_full_body{false};
+  /// Block-cache fill target (null = caching off for this dispatch).
+  /// Every fetched wire span is inserted, keyed by the dispatch's
+  /// canonical primary URL, with the validator its response carried.
+  BlockCache* cache = nullptr;
+  const std::string* cache_key = nullptr;
+  /// Replica set of the dispatch (null = single-source). Every
+  /// response's validators are admitted against the set's agreed
+  /// generation before scatter/cache-fill; spans are published under
+  /// the agreed validator so fail-over and striping share one cache
+  /// generation.
+  ReplicaSet* replica_set = nullptr;
+};
+
+/// The one ranged GET: fetches the wire ranges of `batch` from `replica`
+/// with one (multi-)range request and scatters the payload into the
+/// preallocated `results` slots of the user `ranges`. Runs concurrently
+/// with sibling batches of the same `state`. In order, it
+///  - short-circuits when a sibling failed (OK, nothing fetched) or
+///    parked the full entity (local scatter, no wire traffic);
+///  - arms the stall watchdog: the attempt's deadline is tightened to
+///    its wire bytes at RequestParams::min_throughput_bytes_per_sec, and
+///    a stall counts a stall_abort;
+///  - admits the response's validators against `state->replica_set`'s
+///    agreed generation (a mismatch returns kCorruption);
+///  - checks the response shape — a 206 multipart body must carry every
+///    wire range, a single-range 206 must name a Content-Range that
+///    covers the batch with a body of exactly that length, and a 200 is
+///    parked as the full entity — and fails with kProtocolError
+///    otherwise;
+///  - only then publishes the fetched spans into `state->cache`.
+/// `*did_fetch` (required) is set when a request actually went on the
+/// wire, so candidate walks feed health only for real exchanges.
+Status FetchVecBatch(HttpClient* client, const Uri& replica,
+                     const std::vector<CoalescedRange>& batch,
+                     const RequestParams& params,
+                     const std::vector<http::ByteRange>& ranges,
+                     VecDispatchState* state,
+                     std::vector<std::string>* results, bool* did_fetch);
 
 }  // namespace core
 }  // namespace davix

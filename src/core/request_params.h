@@ -79,7 +79,7 @@ struct RequestParams {
   /// Retries on retryable transport errors (fresh connection each time).
   int max_retries = 2;
   /// Base of the full-jitter exponential backoff between retries: retry
-  /// n sleeps a uniform draw from [0, min(cap, base * 2^n)] (see
+  /// n sleeps a uniform draw from [0, min(1 s, base * 2^n)] (see
   /// core::Backoff and docs/RESILIENCE.md).
   int64_t retry_delay_micros = 20'000;
 
@@ -95,8 +95,6 @@ struct RequestParams {
   /// `total_timeout_micros` — but a caller holding one budget across
   /// several operations may arm it directly.
   Deadline deadline;
-  /// Ceiling of one jittered retry sleep. 0 = default (1 s).
-  int64_t retry_backoff_max_micros = 0;
   /// Seed of the retry-jitter Rng, for deterministic delays under test.
   /// 0 (default) = derive a per-call seed (decorrelated across requests).
   uint64_t retry_jitter_seed = 0;
@@ -172,13 +170,6 @@ struct RequestParams {
   uint64_t multistream_chunk_bytes = 1 << 20;
   /// Multi-stream: parallel streams ceiling.
   size_t multistream_max_streams = 4;
-  /// Replica health (core::ReplicaSet): consecutive failures before a
-  /// source is quarantined. 0 = default (2).
-  int replica_quarantine_failures = 0;
-  /// Replica health: how long a timed quarantine lasts; a source whose
-  /// ETag disagrees with the set's agreed generation is quarantined for
-  /// the life of the set instead. 0 = default (30 s).
-  int64_t replica_quarantine_micros = 0;
 
   // --- block cache -------------------------------------------------------
   /// Consult and fill the per-Context block cache (when the Context was

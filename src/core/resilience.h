@@ -14,9 +14,8 @@
 namespace davix {
 namespace core {
 
-/// Shape of the exponential-backoff retry pacing; defaults resolve from
-/// RequestParams (retry_delay_micros is the base, retry_backoff_max_micros
-/// the cap).
+/// Shape of the exponential-backoff retry pacing; HttpClient takes the
+/// base from RequestParams::retry_delay_micros and keeps the 1 s cap.
 struct BackoffConfig {
   /// Delay scale of attempt 0; attempt n draws from an envelope of
   /// base * multiplier^n.

@@ -277,7 +277,9 @@ void AppendPropfindResponse(xml::XmlNode* multistatus, const std::string& path,
 
 void DavHandler::DoPropfind(const http::HttpRequest& request,
                             http::HttpResponse* response) {
-  std::string path = RequestPath(request);
+  // Normalized, so a collection URL with a trailing slash names its
+  // children "/dir/a", not "/dir//a".
+  std::string path = ObjectStore::Normalize(RequestPath(request));
   Result<ObjectMeta> meta = store_->Stat(path);
   if (!meta.ok()) {
     response->status_code = 404;

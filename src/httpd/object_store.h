@@ -74,9 +74,11 @@ class ObjectStore {
   /// Sum of stored object sizes in bytes.
   uint64_t TotalBytes() const;
 
- private:
+  /// Canonical key of `path`: one leading slash, no trailing slash
+  /// ("dir/" and "/dir" both name "/dir").
   static std::string Normalize(std::string_view path);
 
+ private:
   mutable Mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<const StoredObject>>
       objects_ GUARDED_BY(mu_);

@@ -316,10 +316,12 @@ TEST_F(DavPosixTest, ListDirNamesChildren) {
   server_.store->Put("/dir/x", "1");
   server_.store->Put("/dir/y", "2");
   server_.store->Put("/dir/sub/z", "3");
-  ASSERT_OK_AND_ASSIGN(auto names,
-                       posix_->ListDir(server_.UrlFor("/dir"), params_));
-  std::sort(names.begin(), names.end());
-  EXPECT_EQ(names, (std::vector<std::string>{"sub", "x", "y"}));
+  for (const char* dir : {"/dir", "/dir/"}) {
+    ASSERT_OK_AND_ASSIGN(auto names,
+                         posix_->ListDir(server_.UrlFor(dir), params_));
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"sub", "x", "y"})) << dir;
+  }
 }
 
 TEST_F(DavPosixTest, ConcurrentPReadsShareDescriptor) {

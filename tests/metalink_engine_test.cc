@@ -3,6 +3,7 @@
 #include "core/context.h"
 #include "core/dav_file.h"
 #include "core/metalink_engine.h"
+#include "core/replica_set.h"
 #include "fed/federation_handler.h"
 #include "fed/replica_catalog.h"
 #include "test_util.h"
@@ -147,6 +148,9 @@ TEST_F(ReplicatedSetupTest, FailoverOn404WhenResourceMovedElsewhere) {
   DavFile file = *DavFile::Make(context_.get(), PrimaryUrl());
   ASSERT_OK_AND_ASSIGN(std::string body, file.Get(params_));
   EXPECT_EQ(body, content_);
+  // The primary that already failed is not tried again while another
+  // replica can serve the read.
+  EXPECT_EQ(replicas_[0].handler->stats().get_requests.load(), 1u);
 }
 
 TEST_F(ReplicatedSetupTest, MultiStreamDownloadsAndVerifiesMd5) {
@@ -224,14 +228,13 @@ TEST_F(ReplicatedSetupTest, DavFileGetMultiStreamMode) {
 }
 
 TEST_F(ReplicatedSetupTest, ResolveReplicasOrderedByPriority) {
-  HttpClient client(context_.get());
-  MetalinkEngine engine(&client);
   Uri resource = *Uri::Parse(PrimaryUrl());
-  ASSERT_OK_AND_ASSIGN(auto replicas,
-                       engine.ResolveReplicas(resource, params_));
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<ReplicaSet> set,
+                       ReplicaSet::Resolve(context_.get(), resource, params_));
+  auto replicas = set->RankedSources();
   ASSERT_EQ(replicas.size(), 3u);
-  EXPECT_EQ(replicas[0].ToString(), replicas_[0].UrlFor("/data.bin"));
-  EXPECT_EQ(replicas[2].ToString(), replicas_[2].UrlFor("/data.bin"));
+  EXPECT_EQ(replicas[0]->url().ToString(), replicas_[0].UrlFor("/data.bin"));
+  EXPECT_EQ(replicas[2]->url().ToString(), replicas_[2].UrlFor("/data.bin"));
 }
 
 TEST_F(ReplicatedSetupTest, UnknownResourceKeepsOriginalError) {

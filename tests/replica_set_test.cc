@@ -8,6 +8,7 @@
 #include "core/metalink_engine.h"
 #include "fed/federation_handler.h"
 #include "fed/replica_catalog.h"
+#include "http/range.h"
 #include "netsim/fault_injector.h"
 #include "test_util.h"
 
@@ -364,6 +365,97 @@ TEST_F(ReplicaSetTest, LossyPrimaryStillDeliversExactBytes) {
     EXPECT_EQ(cached, content_);
   }
   EXPECT_OK(posix.Close(fd));
+}
+
+// A replica whose every single-range GET is answered with the bytes, and
+// the Content-Range, of the next range over: right status, length and
+// ETag (its store holds the same object), wrong offset.
+TestStorageServer StartShiftingReplica(const std::string& content) {
+  TestStorageServer liar;
+  liar.store = std::make_shared<httpd::ObjectStore>();
+  liar.store->Put(kPath, content);
+  liar.handler = std::make_shared<httpd::DavHandler>(liar.store);
+  liar.router = std::make_shared<httpd::Router>();
+  std::shared_ptr<httpd::DavHandler> handler = liar.handler;
+  const uint64_t size = content.size();
+  liar.router->HandleAll(
+      "/", [handler, size](const http::HttpRequest& request,
+                           http::HttpResponse* response) {
+        http::HttpRequest shifted = request;
+        std::optional<std::string> range = request.headers.Get("Range");
+        if (range) {
+          Result<std::vector<http::ByteRange>> parsed =
+              http::ParseRangeHeader(*range, size);
+          if (parsed.ok() && parsed->size() == 1) {
+            http::ByteRange r = (*parsed)[0];
+            r.offset = r.offset + 2 * r.length <= size ? r.offset + r.length
+                                                       : 0;
+            shifted.headers.Set("Range", http::FormatRangeHeader({r}));
+          }
+        }
+        handler->Handle(shifted, response);
+      });
+  auto server = httpd::HttpServer::Start({}, liar.router);
+  EXPECT_TRUE(server.ok()) << server.status().ToString();
+  liar.server = std::move(*server);
+  return liar;
+}
+
+TEST_F(ReplicaSetTest, ShiftedRangeReplicaNeverDeliversOrCachesItsBytes) {
+  Deploy(1);
+  TestStorageServer liar = StartShiftingReplica(content_);
+  const std::string honest_url = PrimaryUrl();
+  const std::string liar_url = liar.UrlFor(kPath);
+  BlockCacheConfig cache_config;
+  cache_config.capacity_bytes = 8 << 20;
+  cache_config.block_bytes = 16 * 1024;
+  ReplicaSetConfig config;
+  config.chunk_bytes = 64 * 1024;
+  config.max_streams = 2;
+
+  for (bool with_honest : {true, false}) {
+    SCOPED_TRACE(with_honest ? "sources {liar, honest}" : "sources {liar}");
+    Context context(SessionPoolConfig{}, 0, cache_config);
+    metalink::MetalinkFile file;
+    file.size = content_.size();
+    file.replicas = {{liar_url, 1, ""}};
+    if (with_honest) file.replicas.push_back({honest_url, 2, ""});
+    Uri primary = *Uri::Parse(liar_url);
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<ReplicaSet> set,
+                         ReplicaSet::Make(&context, primary, file, config));
+
+    std::string delivered;
+    Status status = set->Stream(0, content_.size(), params_,
+                                [&](uint64_t, std::string_view data) {
+                                  delivered.append(data);
+                                  return Status::OK();
+                                });
+    if (with_honest) {
+      ASSERT_OK(status);
+      EXPECT_EQ(delivered.size(), content_.size());
+      EXPECT_EQ(Crc32(delivered), Crc32(content_));
+    } else {
+      // The liar alone cannot serve a single chunk: a clean error, and
+      // not one of its bytes reached the sink.
+      EXPECT_FALSE(status.ok());
+      EXPECT_TRUE(delivered.empty());
+    }
+
+    // No cached block differs from the oracle; with the honest source
+    // the whole object is cached.
+    const std::string key = BlockCache::UrlKey(primary);
+    const uint64_t block = cache_config.block_bytes;
+    size_t cached_blocks = 0;
+    for (uint64_t offset = 0; offset < content_.size(); offset += block) {
+      std::string cached;
+      if (context.block_cache().TryReadFull(key, offset, block, &cached)) {
+        ++cached_blocks;
+        EXPECT_TRUE(cached == content_.substr(offset, block))
+            << "cached block at " << offset << " differs from the oracle";
+      }
+    }
+    EXPECT_EQ(cached_blocks, with_honest ? content_.size() / block : 0u);
+  }
 }
 
 }  // namespace
